@@ -17,11 +17,15 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency core: the wait-free construction, the SPSC
-# queues it routes foreign keys through, and the phase-2/3 wavefront
-# scheduler (including the serial-vs-parallel bit-identity tests).
+# queues it routes foreign keys through, the serving layer, and the
+# phase-2/3 CI search (the wavefront scheduler and the serial-vs-parallel
+# and projected-vs-scanned bit-identity tests). The core, serve and
+# structure suites run at GOMAXPROCS 1, 2 and 4, so a test that asserts
+# something scheduling-dependent fails here whatever the host's CPU count.
 race:
-	$(GO) test -race ./internal/core/... ./internal/spsc/... ./internal/serve/...
-	$(GO) test -race -run 'Wavefront|FlattenedLayout' ./internal/structure/
+	$(GO) test -race -cpu 1,2,4 ./internal/core/... ./internal/serve/...
+	$(GO) test -race -cpu 1,2,4 -run 'Wavefront|FlattenedLayout|ProjectedCISearch' ./internal/structure/
+	$(GO) test -race ./internal/spsc/...
 
 # chaos runs the fault-tolerance suite under the race detector: the
 # deterministic fault-injection engine, the chaos tests that inject panics,

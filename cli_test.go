@@ -228,7 +228,18 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 	if addr == "" {
 		t.Fatalf("metrics address never announced; stderr:\n%s", seen.String())
 	}
-	go io.Copy(io.Discard, stderr) // keep the pipe drained
+	// Keep the pipe drained, and note when the run is over: bnbench writes
+	// its JSON report to stdout, then announces the linger on stderr.
+	reported := make(chan struct{})
+	go func() {
+		for sc.Scan() {
+			if strings.HasPrefix(sc.Text(), "obs: lingering") {
+				close(reported)
+				break
+			}
+		}
+		io.Copy(io.Discard, stderr)
+	}()
 
 	// The builds finish asynchronously (the build experiment sweeps P ×
 	// write-batch, so several complete); poll for the partition gauges,
@@ -270,8 +281,14 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 	}
 
 	// The process itself reports the snapshot on stdout; it is written
-	// before the linger, so cut the linger short and collect it. Wait
-	// also joins exec's stdout copier, making the buffer safe to read.
+	// before the linger, so wait for the linger to begin, then cut it short
+	// and collect the report. Wait also joins exec's stdout copier, making
+	// the buffer safe to read.
+	select {
+	case <-reported:
+	case <-time.After(60 * time.Second):
+		t.Fatal("bnbench -exp build never finished its run")
+	}
 	cmd.Process.Kill()
 	cmd.Wait()
 	var out struct {

@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -385,8 +386,8 @@ func runInstrumentedBuild(ctx context.Context, coreFl *cliopt.Core, obsFl *cliop
 // table build, dominates — comparing the serial learner against the
 // speculative wavefront across the worker sweep. Output is one JSON
 // document (long-form rows) for external plotting; the run aborts if any
-// configuration disagrees on the learned skeleton, so the bench doubles as
-// an end-to-end equivalence check.
+// configuration disagrees on the learned skeleton, CI-test count or
+// separating sets, so the bench doubles as an end-to-end equivalence check.
 func runPhases(ctx context.Context, m, n, r, maxP, reps, waveSize int, seed uint64, artDir string) {
 	net := bn.RandomDAG(n, r, 0.15, 3, 0.6, seed)
 	d, err := net.Sample(m, seed+1, runtime.GOMAXPROCS(0))
@@ -420,7 +421,7 @@ func runPhases(ctx context.Context, m, n, r, maxP, reps, waveSize int, seed uint
 		Rows       []row  `json:"rows"`
 	}{Experiment: "phases", Flags: setFlags(), N: n, R: r, M: m, TruthEdges: net.DAG().NumEdges()}
 
-	refEdges, refCI := -1, -1
+	var ref *structure.Result
 	for _, mode := range []string{"serial", "wavefront"} {
 		for _, p := range bench.DefaultPs(maxP) {
 			cfg := structure.Config{P: p, Epsilon: 0.003, PhasePar: mode == "wavefront", WaveSize: waveSize}
@@ -434,11 +435,13 @@ func runPhases(ctx context.Context, m, n, r, maxP, reps, waveSize int, seed uint
 					best = res
 				}
 			}
-			if refEdges < 0 {
-				refEdges, refCI = best.Graph.NumEdges(), best.CITests
-			} else if best.Graph.NumEdges() != refEdges || best.CITests != refCI {
+			if ref == nil {
+				ref = best
+			} else if best.Graph.NumEdges() != ref.Graph.NumEdges() || best.CITests != ref.CITests {
 				fatal(fmt.Errorf("phases: %s P=%d learned %d edges / %d CI tests, want %d / %d",
-					mode, p, best.Graph.NumEdges(), best.CITests, refEdges, refCI))
+					mode, p, best.Graph.NumEdges(), best.CITests, ref.Graph.NumEdges(), ref.CITests))
+			} else if i, j, ok := sameSepsets(ref, best); !ok {
+				fatal(fmt.Errorf("phases: %s P=%d sepset(%d,%d) differs from the first configuration's", mode, p, i, j))
 			}
 			out.Rows = append(out.Rows, row{
 				Mode:          mode,
@@ -460,6 +463,22 @@ func runPhases(ctx context.Context, m, n, r, maxP, reps, waveSize int, seed uint
 	if err := bench.EmitJSON("phases", artDir, out); err != nil {
 		fatal(err)
 	}
+}
+
+// sameSepsets reports whether two learns recorded identical separating
+// sets, and the first pair that differs when they did not.
+func sameSepsets(a, b *structure.Result) (int, int, bool) {
+	n := a.Graph.N()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			sa, oka := a.Sepsets.Get(i, j)
+			sb, okb := b.Sepsets.Get(i, j)
+			if oka != okb || !slices.Equal(sa, sb) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
 }
 
 // runScan benchmarks the read path live-vs-frozen: fused all-pairs MI and a

@@ -13,11 +13,12 @@ import (
 // Metric names published by the marginal cache. Documented in README.md
 // ("Observability"); keep the two in sync.
 const (
-	metricCacheHits      = "core_marg_cache_hits_total"
-	metricCacheMisses    = "core_marg_cache_misses_total"
-	metricCacheEvictions = "core_marg_cache_evictions_total"
-	metricCacheCells     = "core_marg_cache_cells"
-	metricCacheEntries   = "core_marg_cache_entries"
+	metricCacheHits         = "core_marg_cache_hits_total"
+	metricCacheSupersetHits = "core_marg_cache_superset_hits_total"
+	metricCacheMisses       = "core_marg_cache_misses_total"
+	metricCacheEvictions    = "core_marg_cache_evictions_total"
+	metricCacheCells        = "core_marg_cache_cells"
+	metricCacheEntries      = "core_marg_cache_entries"
 )
 
 // maxFusedScanCells bounds the total cell count of one fused
@@ -29,79 +30,15 @@ const (
 // practice a whole wave fits in one scan.
 const maxFusedScanCells = 1 << 18
 
-// Reorder returns the same marginal distribution with its axes permuted
-// into the given variable order, which must be a permutation of mg.Vars.
-// Counts are copied cell by cell — O(cells × arity) — so the receiver is
-// left untouched; when vars already equals mg.Vars the receiver itself is
-// returned. This is what lets the marginal cache store one canonical
-// (sorted) layout per variable set and still serve consumers that need the
-// (conditioning..., x, y) layout of the CI tests.
-func (mg *Marginal) Reorder(vars []int) *Marginal {
-	k := len(mg.Vars)
-	if len(vars) != k {
-		panic(fmt.Sprintf("core: Reorder over %d variables on a %d-variable marginal", len(vars), k))
-	}
-	same := true
-	for i, v := range vars {
-		if mg.Vars[i] != v {
-			same = false
-			break
-		}
-	}
-	if same {
-		return mg
-	}
-	// axis[i] = position in mg.Vars of the variable at target position i.
-	axis := make([]int, k)
-	for i, v := range vars {
-		found := -1
-		for j, mv := range mg.Vars {
-			if mv == v {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			panic(fmt.Sprintf("core: Reorder target %v is not a permutation of %v", vars, mg.Vars))
-		}
-		axis[i] = found
-	}
-	card := make([]int, k)
-	for i := range vars {
-		card[i] = mg.Card[axis[i]]
-	}
-	// strideTo[j] = stride in the target layout of source axis j.
-	strideTo := make([]int, k)
-	stride := 1
-	for i := k - 1; i >= 0; i-- {
-		strideTo[axis[i]] = stride
-		stride *= card[i]
-	}
-	out := make([]uint64, len(mg.Counts))
-	state := make([]int, k) // odometer over the source layout
-	for _, c := range mg.Counts {
-		target := 0
-		for j := 0; j < k; j++ {
-			target += state[j] * strideTo[j]
-		}
-		out[target] = c
-		for j := k - 1; j >= 0; j-- {
-			state[j]++
-			if state[j] < mg.Card[j] {
-				break
-			}
-			state[j] = 0
-		}
-	}
-	return &Marginal{Vars: append([]int(nil), vars...), Card: card, Counts: out, M: mg.M}
-}
-
 // CacheStats is a point-in-time snapshot of a MarginalCache's counters,
 // reported by structure.Result and the CLIs.
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
+	Hits uint64 `json:"hits"`
+	// SupersetHits counts the hits (included in Hits) served by projecting
+	// a cached superset of the requested variable set.
+	SupersetHits uint64 `json:"superset_hits"`
+	Misses       uint64 `json:"misses"`
+	Evictions    uint64 `json:"evictions"`
 	// EpochEvictions counts entries dropped because their freeze-epoch stamp
 	// no longer matched the table being queried (epoch-swap invalidation).
 	EpochEvictions uint64 `json:"epoch_evictions"`
@@ -121,19 +58,21 @@ func (s CacheStats) HitRate() float64 {
 
 // String renders the stats as a single human-readable line.
 func (s CacheStats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d (%.1f%% hit rate) entries=%d cells=%d/%d evictions=%d epoch-evictions=%d",
-		s.Hits, s.Misses, 100*s.HitRate(), s.Entries, s.Cells, s.MaxCells, s.Evictions, s.EpochEvictions)
+	return fmt.Sprintf("hits=%d (%d superset) misses=%d (%.1f%% hit rate) entries=%d cells=%d/%d evictions=%d epoch-evictions=%d",
+		s.Hits, s.SupersetHits, s.Misses, 100*s.HitRate(), s.Entries, s.Cells, s.MaxCells, s.Evictions, s.EpochEvictions)
 }
 
 // MarginalCache memoizes marginal tables by their variable set so repeated
-// conditioning sets — across CI-test pairs and across the greedy shrink
-// loop — are served from memory instead of rescanning the potential table.
-// Keys are the sorted variable set, so I(x;y|Z) and I(y;x|Z) (and any other
-// axis order over the same variables) share one entry; consumers get their
-// requested layout back via Reorder. The cache is bounded by total cell
-// count and evicts whole entries FIFO. All methods are safe for concurrent
-// use; the nil *MarginalCache is the disabled cache (every lookup misses,
-// every insert is dropped).
+// conditioning sets across CI-test pairs are served from memory instead of
+// rescanning the potential table. Keys are the sorted variable set, so
+// I(x;y|Z) and I(y;x|Z) (and any other axis order over the same variables)
+// share one entry; consumers get their requested layout back via Project.
+// A varset with no entry of its own is still served from memory when a
+// cached entry of the same epoch covers it: the smallest such superset is
+// projected, and the projection is cached under its own key. The cache is
+// bounded by total cell count and evicts whole entries FIFO. All methods
+// are safe for concurrent use; the nil *MarginalCache is the disabled cache
+// (every lookup misses, every insert is dropped).
 type MarginalCache struct {
 	mu       sync.Mutex
 	maxCells int64
@@ -141,11 +80,11 @@ type MarginalCache struct {
 	entries  map[string]cacheEntry
 	fifo     []string
 
-	hits, misses, evictions, epochEvictions uint64
+	hits, supersetHits, misses, evictions, epochEvictions uint64
 
 	// obs handles, hoisted at construction (nil when disabled).
-	mHits, mMisses, mEvictions *obs.Counter
-	mCells, mEntries           *obs.Gauge
+	mHits, mSupersetHits, mMisses, mEvictions *obs.Counter
+	mCells, mEntries                          *obs.Gauge
 }
 
 // NewMarginalCache returns a cache bounded to maxCells total table cells
@@ -158,9 +97,11 @@ func NewMarginalCache(maxCells int, reg *obs.Registry) *MarginalCache {
 	c := &MarginalCache{maxCells: int64(maxCells), entries: make(map[string]cacheEntry)}
 	if reg != nil {
 		reg.Help(metricCacheHits, "marginal-cache lookups served from memory")
+		reg.Help(metricCacheSupersetHits, "marginal-cache hits served by projecting a cached superset")
 		reg.Help(metricCacheMisses, "marginal-cache lookups that required a table scan")
 		reg.Help(metricCacheCells, "table cells currently held by the marginal cache")
 		c.mHits = reg.Counter(metricCacheHits)
+		c.mSupersetHits = reg.Counter(metricCacheSupersetHits)
 		c.mMisses = reg.Counter(metricCacheMisses)
 		c.mEvictions = reg.Counter(metricCacheEvictions)
 		c.mCells = reg.Gauge(metricCacheCells)
@@ -179,6 +120,7 @@ func (c *MarginalCache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Hits:           c.hits,
+		SupersetHits:   c.supersetHits,
 		Misses:         c.misses,
 		Evictions:      c.evictions,
 		EpochEvictions: c.epochEvictions,
@@ -195,14 +137,45 @@ func (c *MarginalCache) Stats() CacheStats {
 type cacheEntry struct {
 	mg    *Marginal
 	epoch uint64
+	mask  uint64 // varMask(mg.Vars): a necessary condition for covering a varset
 }
 
-// get returns the cached canonical marginal for key at the given freeze
-// epoch, or nil. A stamp mismatch evicts the stale entry and counts as a
-// miss. Counts hits and misses.
-func (c *MarginalCache) get(key string, epoch uint64) *Marginal {
+// varMask folds a variable set into 64 bits, variable v setting bit v mod
+// 64. A set can only cover another if its mask covers the other's mask, so
+// the superset search rejects almost every entry with one AND; only
+// surviving candidates get the exact membership check.
+func varMask(vars []int) uint64 {
+	var m uint64
+	for _, v := range vars {
+		m |= 1 << (uint(v) & 63)
+	}
+	return m
+}
+
+// covers reports whether the sorted variable set sup contains every
+// variable of the sorted set sub.
+func covers(sup, sub []int) bool {
+	i := 0
+	for _, v := range sub {
+		for i < len(sup) && sup[i] < v {
+			i++
+		}
+		if i == len(sup) || sup[i] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// lookup resolves a sorted varset at the given freeze epoch. An entry of
+// its own is returned as is; failing that, the smallest entry of the same
+// epoch that covers canon is returned with superset set, for the caller to
+// project. A stamp mismatch on the varset's own entry evicts it in place;
+// stale supersets are skipped, never projected. Counts hits (superset hits
+// among them) and misses.
+func (c *MarginalCache) lookup(key string, canon []int, epoch uint64) (mg *Marginal, superset bool) {
 	if c == nil {
-		return nil
+		return nil, false
 	}
 	c.mu.Lock()
 	ent, ok := c.entries[key]
@@ -216,17 +189,36 @@ func (c *MarginalCache) get(key string, epoch uint64) *Marginal {
 		ok = false
 	}
 	if ok {
+		mg = ent.mg
+	} else {
+		mask := varMask(canon)
+		for _, e := range c.entries {
+			if e.epoch != epoch || e.mask&mask != mask || len(e.mg.Vars) <= len(canon) ||
+				(mg != nil && len(e.mg.Counts) >= len(mg.Counts)) || !covers(e.mg.Vars, canon) {
+				continue
+			}
+			mg = e.mg
+		}
+		superset = mg != nil
+	}
+	if mg != nil {
 		c.hits++
 	} else {
 		c.misses++
 	}
-	c.mu.Unlock()
-	if ok {
-		c.mHits.Inc()
-		return ent.mg
+	if superset {
+		c.supersetHits++
 	}
-	c.mMisses.Inc()
-	return nil
+	c.mu.Unlock()
+	if mg == nil {
+		c.mMisses.Inc()
+		return nil, false
+	}
+	c.mHits.Inc()
+	if superset {
+		c.mSupersetHits.Inc()
+	}
+	return mg, superset
 }
 
 // put inserts a canonical marginal stamped with its table's freeze epoch,
@@ -256,7 +248,7 @@ func (c *MarginalCache) put(key string, epoch uint64, mg *Marginal) {
 			evicted++
 		}
 	}
-	c.entries[key] = cacheEntry{mg: mg, epoch: epoch}
+	c.entries[key] = cacheEntry{mg: mg, epoch: epoch, mask: varMask(mg.Vars)}
 	c.fifo = append(c.fifo, key)
 	c.cells += int64(len(mg.Counts))
 	c.evictions += evicted
@@ -342,16 +334,18 @@ func (t *PotentialTable) MarginalizeManyCached(varsets [][]int, p int, cache *Ma
 	return out
 }
 
-// MarginalizeManyCachedCtx is the cross-pair fused marginalization entry
-// point the phase-2/3 wavefront runs on. It resolves each requested varset
-// against the cache under its canonical (sorted) key, dedupes the misses —
-// including requests within the same call that share a variable set —
-// computes them with as few fused MarginalizeManyCtx scans as the
+// MarginalizeManyCachedCtx is the fused, cached marginalization entry point
+// the learner's CI search and the serve read path run on. It resolves each
+// requested varset against the cache under its canonical (sorted) key —
+// its own entry, else a projection of the smallest cached superset from
+// the same epoch, which is then cached under its own key — dedupes the
+// misses, including requests within the same call that share a variable
+// set, computes them with as few fused MarginalizeManyCtx scans as the
 // maxFusedScanCells budget allows, inserts the canonical results into the
-// cache, and returns every marginal reordered to its requested axis order.
+// cache, and returns every marginal projected to its requested axis order.
 //
 // Results are bit-identical to calling MarginalizeManyCtx directly: counts
-// are exact integers and Reorder is an exact permutation. A nil cache
+// are exact integers and Project is an exact integer sum-out. A nil cache
 // disables memoization but keeps the in-call dedupe and scan fusion.
 func (t *PotentialTable) MarginalizeManyCachedCtx(ctx context.Context, varsets [][]int, p int, cache *MarginalCache) ([]*Marginal, error) {
 	if len(varsets) == 0 {
@@ -374,8 +368,12 @@ func (t *PotentialTable) MarginalizeManyCachedCtx(ctx context.Context, varsets [
 	for k, vars := range varsets {
 		canon[k] = sortedVarset(vars)
 		keys[k] = varsetKey(canon[k])
-		if mg := cache.get(keys[k], epoch); mg != nil {
-			out[k] = mg.Reorder(vars)
+		if mg, superset := cache.lookup(keys[k], canon[k], epoch); mg != nil {
+			if superset {
+				mg = mg.Project(canon[k])
+				cache.put(keys[k], epoch, mg)
+			}
+			out[k] = mg.Project(vars)
 			continue
 		}
 		if _, seen := missSets[keys[k]]; !seen {
@@ -390,7 +388,7 @@ func (t *PotentialTable) MarginalizeManyCachedCtx(ctx context.Context, varsets [
 		hi := lo
 		cells := 0
 		for hi < len(missOrder) {
-			c := t.codec.SubsetDecoder(missSets[missOrder[hi]]).Cells()
+			c := t.subsetCells(missSets[missOrder[hi]])
 			if hi > lo && cells+c > maxFusedScanCells {
 				break
 			}
@@ -408,7 +406,7 @@ func (t *PotentialTable) MarginalizeManyCachedCtx(ctx context.Context, varsets [
 		for i, key := range missOrder[lo:hi] {
 			cache.put(key, epoch, ms[i])
 			for _, k := range missers[key] {
-				out[k] = ms[i].Reorder(varsets[k])
+				out[k] = ms[i].Project(varsets[k])
 			}
 		}
 		lo = hi

@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"waitfreebn/internal/dataset"
+	"waitfreebn/internal/encoding"
 	"waitfreebn/internal/obs"
 )
 
@@ -28,7 +32,7 @@ func marginalsEqual(t *testing.T, a, b *Marginal, label string) {
 	}
 }
 
-func TestReorderRoundTrip(t *testing.T) {
+func TestProjectPermutationRoundTrip(t *testing.T) {
 	d := uniformData(t, 8000, 5, 3, 90)
 	pt, _, err := Build(d, Options{P: 2})
 	if err != nil {
@@ -38,21 +42,23 @@ func TestReorderRoundTrip(t *testing.T) {
 	for _, order := range orders {
 		want := pt.Marginalize(order, 2)
 		base := pt.Marginalize([]int{0, 2, 4}, 2)
-		got := base.Reorder(order)
-		marginalsEqual(t, got, want, "reorder")
+		got := base.Project(order)
+		marginalsEqual(t, got, want, "permutation")
 	}
-	// Identity reorder returns the receiver untouched.
+	// Identity projection returns the receiver untouched.
 	base := pt.Marginalize([]int{1, 3}, 2)
-	if base.Reorder([]int{1, 3}) != base {
-		t.Error("identity Reorder did not return the receiver")
+	if base.Project([]int{1, 3}) != base {
+		t.Error("identity Project did not return the receiver")
 	}
 }
 
-func TestReorderPanicsOnNonPermutation(t *testing.T) {
+func TestProjectPanicsOnForeignVars(t *testing.T) {
 	mg := &Marginal{Vars: []int{0, 1}, Card: []int{2, 2}, Counts: make([]uint64, 4)}
 	for name, vars := range map[string][]int{
-		"wrong arity": {0},
-		"foreign var": {0, 5},
+		"foreign var":    {0, 5},
+		"duplicate var":  {1, 1},
+		"too many axes":  {0, 1, 0},
+		"only a foreign": {7},
 	} {
 		func() {
 			defer func() {
@@ -60,8 +66,137 @@ func TestReorderPanicsOnNonPermutation(t *testing.T) {
 					t.Errorf("%s did not panic", name)
 				}
 			}()
-			mg.Reorder(vars)
+			mg.Project(vars)
 		}()
+	}
+}
+
+// TestProjectMatchesScan: projecting a marginal onto a random subset of
+// its variables, in a random order, is bit-identical to scanning the table
+// for that subset directly — on the live partitions and on the frozen
+// snapshot, with mixed cardinalities so every stride differs.
+func TestProjectMatchesScan(t *testing.T) {
+	d := dataset.New(20000, []int{2, 3, 2, 4, 3, 2, 5})
+	rng := rand.New(rand.NewSource(95))
+	for i := 0; i < d.NumSamples(); i++ {
+		for j := 0; j < d.NumVars(); j++ {
+			d.Set(i, j, uint8(rng.Intn(d.Cardinality(j))))
+		}
+	}
+	pt, _, err := Build(d, Options{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, frozen := range []bool{false, true} {
+		if frozen {
+			if _, err := pt.FreezeCtx(ctx, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for trial := 0; trial < 40; trial++ {
+			sup := rng.Perm(d.NumVars())[:2+rng.Intn(d.NumVars()-1)]
+			var subs [][]int
+			for k := 0; k < 4; k++ {
+				sub := append([]int(nil), sup...)
+				rng.Shuffle(len(sub), func(a, b int) { sub[a], sub[b] = sub[b], sub[a] })
+				subs = append(subs, sub[:1+rng.Intn(len(sub))])
+			}
+			want, err := pt.MarginalizeManyCtx(ctx, subs, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := pt.MarginalizeCtx(ctx, sup, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, sub := range subs {
+				marginalsEqual(t, base.Project(sub), want[k], fmt.Sprintf("frozen=%v %v→%v", frozen, sup, sub))
+			}
+		}
+	}
+}
+
+// TestMarginalCacheSupersetHits: a varset with no entry of its own is
+// served by projecting the smallest cached superset of the same epoch,
+// the projection is cached under its own key, and a superset stamped
+// with an older epoch is never projected.
+func TestMarginalCacheSupersetHits(t *testing.T) {
+	codec, err := encoding.NewUniformCodec(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := codec.KeySpace()
+	b := NewBuilder(codec, 0, Options{P: 2, NumPartitions: 8, Partition: PartitionRange})
+	ctx := context.Background()
+	if err := b.AddKeysCtx(ctx, refreezeKeys(20000, space, 43)); err != nil {
+		t.Fatal(err)
+	}
+	pt1, _, err := b.SnapshotCtx(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewMarginalCache(1<<16, nil)
+	big, small := []int{0, 1, 2, 3, 4}, []int{1, 2, 3}
+	if _, err := pt1.MarginalizeManyCachedCtx(ctx, [][]int{big, small}, 2, cache); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 2 || st.Hits != 0 || st.Entries != 2 {
+		t.Fatalf("after cold pass: %v", st)
+	}
+
+	// {3, 1} is covered by both entries; the 27-cell one must be projected,
+	// not the 243-cell one. Poison the big entry's counts to tell them apart.
+	bigEnt := cache.entries[varsetKey(big)].mg
+	saved := append([]uint64(nil), bigEnt.Counts...)
+	for c := range bigEnt.Counts {
+		bigEnt.Counts[c] = 1 << 40
+	}
+	got, err := pt1.MarginalizeManyCachedCtx(ctx, [][]int{{3, 1}}, 2, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(bigEnt.Counts, saved)
+	want, err := pt1.MarginalizeManyCtx(ctx, [][]int{{3, 1}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marginalsEqual(t, got[0], want[0], "smallest superset")
+	st := cache.Stats()
+	if st.Hits != 1 || st.SupersetHits != 1 || st.Misses != 2 || st.Entries != 3 {
+		t.Fatalf("after superset hit: %v", st)
+	}
+	// The projection now has an entry of its own: an exact hit.
+	if _, err := pt1.MarginalizeManyCachedCtx(ctx, [][]int{{1, 3}}, 2, cache); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 2 || st.SupersetHits != 1 {
+		t.Fatalf("projection not cached under its own key: %v", st)
+	}
+
+	// Next epoch: every cached entry is stale, so a covered varset misses
+	// and is scanned from the new table.
+	if err := b.AddKeysCtx(ctx, localizedKeys(1000, space, 0.08, 0, 44)); err != nil {
+		t.Fatal(err)
+	}
+	pt2, _, err := b.SnapshotCtx(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt2.FreezeEpoch() == pt1.FreezeEpoch() {
+		t.Fatal("snapshots share a freeze epoch")
+	}
+	got, err = pt2.MarginalizeManyCachedCtx(ctx, [][]int{{4, 0}}, 2, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = pt2.MarginalizeManyCtx(ctx, [][]int{{4, 0}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marginalsEqual(t, got[0], want[0], "stale superset")
+	if st := cache.Stats(); st.SupersetHits != 1 || st.Misses != 3 {
+		t.Fatalf("stale-epoch superset was projected: %v", st)
 	}
 }
 

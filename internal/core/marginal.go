@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"waitfreebn/internal/sched"
@@ -67,21 +68,58 @@ func (mg *Marginal) SumOver(keep int) *Marginal {
 	if keep < 0 || keep >= len(mg.Vars) {
 		panic(fmt.Sprintf("core: SumOver(%d) on a %d-variable marginal", keep, len(mg.Vars)))
 	}
-	out := &Marginal{
-		Vars:   []int{mg.Vars[keep]},
-		Card:   []int{mg.Card[keep]},
-		Counts: make([]uint64, mg.Card[keep]),
-		M:      mg.M,
+	return mg.Project(mg.Vars[keep : keep+1])
+}
+
+// Project returns the marginal over vars — any subset of mg.Vars, listed
+// in any order — by summing the other variables out. Counts are exact
+// integers, so the result is bit-identical to marginalizing the table over
+// vars directly; a permutation of mg.Vars is the pure reorder case. When
+// vars equals mg.Vars the receiver itself is returned; otherwise the
+// receiver is left untouched. One pass over mg's cells, O(cells) amortized.
+//
+// This is what lets one scan serve a whole family of marginals: the cache
+// answers any varset covered by a cached superset, and the CI search
+// derives every greedy-shrink round from the marginal of its first test.
+func (mg *Marginal) Project(vars []int) *Marginal {
+	k := len(mg.Vars)
+	if slices.Equal(vars, mg.Vars) {
+		return mg
 	}
-	// Stride of `keep` in the row-major layout.
-	stride := 1
-	for k := keep + 1; k < len(mg.Card); k++ {
-		stride *= mg.Card[k]
+	// strideTo[j] = stride in the target layout of source axis j; 0 for
+	// axes summed out.
+	strideTo := make([]int, k)
+	card := make([]int, len(vars))
+	axis := make([]int, len(vars))
+	for i, v := range vars {
+		j := slices.Index(mg.Vars, v)
+		if j < 0 || slices.Contains(axis[:i], j) {
+			panic(fmt.Sprintf("core: Project target %v is not a subset of %v", vars, mg.Vars))
+		}
+		axis[i] = j
+		card[i] = mg.Card[j]
 	}
-	for cell, c := range mg.Counts {
-		out.Counts[cell/stride%mg.Card[keep]] += c
+	cells := 1
+	for i := len(vars) - 1; i >= 0; i-- {
+		strideTo[axis[i]] = cells
+		cells *= card[i]
 	}
-	return out
+	out := make([]uint64, cells)
+	state := make([]int, k) // odometer over the source layout
+	target := 0
+	for _, c := range mg.Counts {
+		out[target] += c
+		for j := k - 1; j >= 0; j-- {
+			state[j]++
+			target += strideTo[j]
+			if state[j] < mg.Card[j] {
+				break
+			}
+			target -= state[j] * strideTo[j]
+			state[j] = 0
+		}
+	}
+	return &Marginal{Vars: append([]int(nil), vars...), Card: card, Counts: out, M: mg.M}
 }
 
 // readP resolves the worker count for read-side (scan) primitives: p <= 0

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"waitfreebn/internal/dataset"
@@ -29,6 +32,51 @@ func TestMarginalizeManyMatchesSingles(t *testing.T) {
 		}
 		if many[k].M != single.M {
 			t.Fatalf("set %d: M %d != %d", k, many[k].M, single.M)
+		}
+	}
+}
+
+// TestMarginalizeManyOverlappingSets: a fused batch whose subsets share
+// variables (each decoded once per key) matches one Algorithm 3 scan per
+// subset, on live partitions and on the frozen snapshot, where sorted
+// blocks pin high-stride variables constant and some subsets fall entirely
+// into one cell per block.
+func TestMarginalizeManyOverlappingSets(t *testing.T) {
+	ctx := context.Background()
+	for _, card := range [][]int{{2, 3, 2, 4, 3, 2, 5}, {2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 2, 2, 2}} {
+		n := len(card)
+		d := dataset.New(30000, card)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for i := 0; i < d.NumSamples(); i++ {
+			for j := 0; j < n; j++ {
+				d.Set(i, j, uint8(rng.Intn(card[j])))
+			}
+		}
+		pt, _, err := Build(d, Options{P: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		varsets := [][]int{{n - 1}, {n - 2, n - 1}, {0, n - 1, 1}, {n - 1, n - 2}, {2, 0}, {n - 3, 1, n - 1, 0}}
+		for k := 0; k < 12; k++ {
+			varsets = append(varsets, rng.Perm(n)[:1+rng.Intn(4)])
+		}
+		for _, frozen := range []bool{false, true} {
+			if frozen {
+				if _, err := pt.FreezeCtx(ctx, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			many, err := pt.MarginalizeManyCtx(ctx, varsets, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, vars := range varsets {
+				single, err := pt.MarginalizeCtx(ctx, vars, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				marginalsEqual(t, many[k], single, fmt.Sprintf("n=%d frozen=%v %v", n, frozen, vars))
+			}
 		}
 	}
 }

@@ -66,7 +66,9 @@ type Config struct {
 	Alpha float64
 	// P is the number of workers for the parallel phases. 0 = GOMAXPROCS.
 	P int
-	// Schedule selects the all-pairs MI strategy. Default MIFused.
+	// Schedule selects the all-pairs MI strategy of the drafting phase. The
+	// zero value is core.MIFused, one table pass for all n(n-1)/2 pairs;
+	// the other schedules exist for the paper's ablations.
 	Schedule core.MISchedule
 	// MaxCondSet caps the size of conditioning sets in try-to-separate.
 	// Default 6; larger sets make CI estimates unreliable and marginal
@@ -89,10 +91,12 @@ type Config struct {
 	// candidate sets behind it), and measured waste grows superlinearly in
 	// the wave size while thinning is already near its fusion ceiling at 32.
 	WaveSize int
-	// MargCacheCells bounds the varset→marginal cache, in table cells
-	// (≈ 8·cells bytes). 0 enables a default-sized cache (2^21 cells) when
-	// PhasePar is set and disables it otherwise; negative disables the
-	// cache unconditionally.
+	// MargCacheCells bounds the varset→marginal cache the CI search reads
+	// through, in table cells (≈ 8·cells bytes). 0 selects the default size
+	// (2^21 cells), serial or wavefront; negative disables the cache. The
+	// cache serves a candidate set's marginal from any cached superset, so
+	// a candidate set nested in an earlier one costs no table scan. It
+	// changes no result, only how often the table is read.
 	MargCacheCells int
 	// Freeze captures a frozen columnar snapshot of the potential table
 	// before the read phases run, so every scan (drafting MI, CI-test
@@ -117,8 +121,8 @@ type Config struct {
 	BuildOptions core.Options
 }
 
-// defaultMargCacheCells sizes the marginal cache when MargCacheCells is 0
-// and the wavefront is on: 2^21 cells ≈ 16 MiB of counts.
+// defaultMargCacheCells sizes the marginal cache when MargCacheCells is 0:
+// 2^21 cells ≈ 16 MiB of counts at most.
 const defaultMargCacheCells = 1 << 21
 
 func (c Config) withDefaults() Config {
@@ -223,6 +227,16 @@ func LearnFromTable(pt *core.PotentialTable, cfg Config) (*Result, error) {
 // LearnFromTableCtx is LearnFromTable under the fault-tolerant execution
 // contract (see LearnCtx).
 func LearnFromTableCtx(ctx context.Context, pt *core.PotentialTable, cfg Config) (*Result, error) {
+	l, err := newLearner(ctx, pt, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return l.learn()
+}
+
+// newLearner resolves and validates cfg and wires the learner to its
+// marginal cache and its serial marginal source.
+func newLearner(ctx context.Context, pt *core.PotentialTable, cfg Config) (*learner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -231,7 +245,20 @@ func LearnFromTableCtx(ctx context.Context, pt *core.PotentialTable, cfg Config)
 	if n < 2 {
 		return nil, fmt.Errorf("structure: need at least 2 variables, have %d", n)
 	}
-	res := &Result{Sepsets: NewSepsets(n)}
+	l := &learner{ctx: ctx, pt: pt, cfg: cfg, res: &Result{Sepsets: NewSepsets(n)}}
+	if cells := cfg.MargCacheCells; cells >= 0 {
+		if cells == 0 {
+			cells = defaultMargCacheCells
+		}
+		l.cache = core.NewMarginalCache(cells, cfg.BuildOptions.Obs)
+	}
+	l.src = &directMargSource{l: l}
+	return l, nil
+}
+
+// learn runs phases 1-3 and orients the skeleton.
+func (l *learner) learn() (*Result, error) {
+	ctx, pt, cfg, res := l.ctx, l.pt, l.cfg, l.res
 	if cfg.Freeze {
 		// Construction has completed by the time a table reaches the
 		// learner, so the partitions are quiescent — the freeze point the
@@ -241,13 +268,6 @@ func LearnFromTableCtx(ctx context.Context, pt *core.PotentialTable, cfg Config)
 			return nil, err
 		}
 		res.Freeze = st
-	}
-	l := &learner{ctx: ctx, pt: pt, cfg: cfg, res: res}
-	if cells := cfg.MargCacheCells; cells > 0 || (cells == 0 && cfg.PhasePar) {
-		if cells <= 0 {
-			cells = defaultMargCacheCells
-		}
-		l.cache = core.NewMarginalCache(cells, cfg.BuildOptions.Obs)
 	}
 
 	t0 := time.Now()
@@ -311,6 +331,7 @@ type learner struct {
 	cfg   Config
 	res   *Result
 	cache *core.MarginalCache // nil when disabled
+	src   margSource          // the serial phases' marginal source
 }
 
 // checkCtx is the learner's cancellation point, consulted between CI tests
@@ -359,9 +380,16 @@ func (l *learner) draft(mi *core.MIMatrix) (*graph.Undirected, []pair) {
 // thicken is phase 2: for every deferred pair, add the edge unless a
 // conditional-independence test separates the endpoints.
 func (l *learner) thicken(g *graph.Undirected, deferred []pair) error {
-	for _, p := range deferred {
+	fetched := 0 // deferred[:fetched] were prefetched on the current graph
+	for k, p := range deferred {
 		if err := l.checkCtx(); err != nil {
 			return err
+		}
+		if k >= fetched {
+			if err := l.prefetch(g, deferred[k:min(k+lookahead, len(deferred))]); err != nil {
+				return err
+			}
+			fetched = k + lookahead
 		}
 		sep, err := l.tryToSeparate(g, p.i, p.j)
 		if err != nil {
@@ -370,6 +398,7 @@ func (l *learner) thicken(g *graph.Undirected, deferred []pair) error {
 		if !sep {
 			g.AddEdge(p.i, p.j)
 			l.res.ThickenEdges++
+			fetched = k + 1 // the new edge may reshape later candidate sets
 		}
 	}
 	return nil
@@ -379,7 +408,9 @@ func (l *learner) thicken(g *graph.Undirected, deferred []pair) error {
 // is temporarily removed and permanently dropped if a CI test separates
 // the endpoints.
 func (l *learner) thin(g *graph.Undirected) error {
-	for _, e := range g.Edges() {
+	edges := g.Edges()
+	fetched := 0 // edges[:fetched] were prefetched on the current graph
+	for k, e := range edges {
 		if err := l.checkCtx(); err != nil {
 			return err
 		}
@@ -390,6 +421,20 @@ func (l *learner) thin(g *graph.Undirected) error {
 		if !g.AdjacencyPath(u, v) {
 			continue // the edge is the only connection; keep it
 		}
+		if k >= fetched {
+			// NeighborsOnPaths(u, v) blocks u, so an edge's candidate sets
+			// are the same with the edge in place as after its removal.
+			var next []pair
+			for _, f := range edges[k:min(k+lookahead, len(edges))] {
+				if g.HasEdge(f[0], f[1]) && g.AdjacencyPath(f[0], f[1]) {
+					next = append(next, pair{i: f[0], j: f[1]})
+				}
+			}
+			if err := l.prefetch(g, next); err != nil {
+				return err
+			}
+			fetched = k + lookahead
+		}
 		g.RemoveEdge(u, v)
 		sep, err := l.tryToSeparate(g, u, v)
 		if err != nil {
@@ -398,6 +443,7 @@ func (l *learner) thin(g *graph.Undirected) error {
 		}
 		if sep {
 			l.res.ThinnedEdges++
+			fetched = k + 1 // the removal may reshape later candidate sets
 		} else {
 			g.AddEdge(u, v)
 		}
@@ -405,11 +451,42 @@ func (l *learner) thin(g *graph.Undirected) error {
 	return nil
 }
 
+// lookahead is how many upcoming pairs (or edges) the serial phases
+// prefetch CI-search marginals for in one scan. On the 40-node benchmark
+// network 16 beat 4, 8 and 32: shorter windows rescan more often, longer
+// ones decode more variables per key for pairs an earlier commit
+// reshapes.
+const lookahead = 16
+
+// prefetch reads into the cache, in one fused scan, the marginals the CI
+// searches of pairs will start from as their candidate sets stand in g
+// now: both candidate sets of each pair, clipped as the search clips them.
+// Reads already cached cost nothing, and a later commit that reshapes a
+// pair's candidate sets only turns that pair's read into a miss, since a
+// marginal depends on nothing but its variable set. Without a cache there
+// is nowhere to keep the reads, so nothing is prefetched.
+func (l *learner) prefetch(g *graph.Undirected, pairs []pair) error {
+	if l.cache == nil {
+		return nil
+	}
+	e := l.newEval(l.ctx, nil)
+	var varsets [][]int
+	for _, p := range pairs {
+		for _, c := range [][]int{g.NeighborsOnPaths(p.i, p.j), g.NeighborsOnPaths(p.j, p.i)} {
+			if len(c) > 0 {
+				varsets = append(varsets, ciVars(e.relevant(c, p.i, p.j), p.i, p.j))
+			}
+		}
+	}
+	_, err := l.pt.MarginalizeManyCachedCtx(l.ctx, varsets, l.cfg.P, l.cache)
+	return err
+}
+
 // tryToSeparate is the serial entry into the CI search: it computes the
 // candidate conditioning sets from the live graph, runs the shared ciEval
 // machinery on them, and commits the outcome (counters, sepset) directly.
 func (l *learner) tryToSeparate(g *graph.Undirected, x, y int) (bool, error) {
-	e := l.newEval(l.ctx, &directMargSource{l: l})
+	e := l.newEval(l.ctx, l.src)
 	set, sep, err := e.tryToSeparate(g.NeighborsOnPaths(x, y), g.NeighborsOnPaths(y, x), x, y)
 	l.res.CITests += e.tests
 	l.res.CondSetTruncations += e.truncated
@@ -430,16 +507,34 @@ func (l *learner) newEval(ctx context.Context, src margSource) *ciEval {
 	return &ciEval{ctx: ctx, pt: l.pt, cfg: l.cfg, mi: l.res.MI, src: src}
 }
 
-// margSource supplies marginal tables for batches of varsets. The serial
-// path computes them in place; the wavefront path posts the request to a
-// coordinator that fuses requests from the whole wave into shared scans.
+// margSource supplies marginal tables to the CI search. marginals reads
+// the table for a batch of varsets: the serial path computes them in
+// place, the wavefront path posts the request to a coordinator that fuses
+// requests from the whole wave into shared scans. project derives a batch
+// of sub-marginals from a superset marginal the search already holds.
 type margSource interface {
 	marginals(varsets [][]int) ([]*core.Marginal, error)
+	project(sup *core.Marginal, varsets [][]int) ([]*core.Marginal, error)
 }
 
-// directMargSource computes marginals immediately through the (optionally
-// cached) fused entry point.
-type directMargSource struct{ l *learner }
+// projector is the project half of every production margSource: an exact
+// integer sum-out of the superset, with no table access at all.
+type projector struct{}
+
+func (projector) project(sup *core.Marginal, varsets [][]int) ([]*core.Marginal, error) {
+	out := make([]*core.Marginal, len(varsets))
+	for k, vars := range varsets {
+		out[k] = sup.Project(vars)
+	}
+	return out, nil
+}
+
+// directMargSource computes marginals immediately through the cached fused
+// entry point.
+type directMargSource struct {
+	projector
+	l *learner
+}
 
 func (s *directMargSource) marginals(varsets [][]int) ([]*core.Marginal, error) {
 	return s.l.pt.MarginalizeManyCachedCtx(s.l.ctx, varsets, s.l.cfg.P, s.l.cache)
@@ -502,17 +597,26 @@ func sameVars(a, b []int) bool {
 	return true
 }
 
-// truncate clips a too-large candidate conditioning set to MaxCondSet. The
-// kept candidates are those most relevant to the tested pair — highest
-// MI(c,x) + MI(c,y) from the drafting phase's all-pairs matrix, ties broken
-// by ascending variable id — rather than whichever ones happened to sort
-// first, so the selection is principled and independent of neighbor-list
-// ordering. The kept set is returned sorted ascending, preserving the
-// (conditioning..., x, y) layout contract. Without an MI matrix (not
-// reachable through the public entry points) it falls back to the sorted
-// prefix, which is still deterministic.
+// truncate clips a too-large candidate conditioning set to MaxCondSet
+// (see relevant) and counts the clipping.
 func (e *ciEval) truncate(c []int, x, y int) []int {
 	e.truncated++
+	return e.relevant(c, x, y)
+}
+
+// relevant clips c to MaxCondSet when it is larger. The kept candidates
+// are those most relevant to the tested pair — highest MI(c,x) + MI(c,y)
+// from the drafting phase's all-pairs matrix, ties broken by ascending
+// variable id — rather than whichever ones happened to sort first, so the
+// selection is principled and independent of neighbor-list ordering. The
+// kept set is returned sorted ascending, preserving the (conditioning...,
+// x, y) layout contract. Without an MI matrix (not reachable through the
+// public entry points) it falls back to the sorted prefix, which is still
+// deterministic. c is reordered in place.
+func (e *ciEval) relevant(c []int, x, y int) []int {
+	if len(c) <= e.cfg.MaxCondSet {
+		return c
+	}
 	if e.mi == nil {
 		return c[:e.cfg.MaxCondSet]
 	}
@@ -530,7 +634,9 @@ func (e *ciEval) truncate(c []int, x, y int) []int {
 }
 
 // separates runs the greedy shrink loop on one candidate conditioning set,
-// returning the separating set it found.
+// returning the separating set it found. It asks its source for one
+// marginal, over C ∪ {x, y}; every greedy round's |C| reductions are exact
+// projections of the current marginal, so no round reads the table.
 func (e *ciEval) separates(cand []int, x, y int) ([]int, bool, error) {
 	if len(cand) == 0 {
 		return nil, false, nil
@@ -539,10 +645,13 @@ func (e *ciEval) separates(cand []int, x, y int) ([]int, bool, error) {
 	if len(c) > e.cfg.MaxCondSet {
 		c = e.truncate(c, x, y)
 	}
-	v, err := e.cmi(x, y, c)
+	e.tests++
+	ms, err := e.src.marginals([][]int{ciVars(c, x, y)})
 	if err != nil {
 		return nil, false, err
 	}
+	cur := ms[0]
+	v := e.cmi(cur, c, x, y)
 	if !e.dependent(v, x, y, e.condCells(c)) {
 		return c, true, nil
 	}
@@ -550,10 +659,6 @@ func (e *ciEval) separates(cand []int, x, y int) ([]int, bool, error) {
 		if err := e.checkCtx(); err != nil {
 			return nil, false, err
 		}
-		// The |C| candidate reductions are independent marginalizations;
-		// batch them through the fused multi-marginal primitive so the
-		// table is scanned once per greedy round instead of once per
-		// candidate.
 		reductions := make([][]int, len(c))
 		varsets := make([][]int, len(c))
 		for k := range c {
@@ -561,21 +666,16 @@ func (e *ciEval) separates(cand []int, x, y int) ([]int, bool, error) {
 			reduced = append(reduced, c[:k]...)
 			reduced = append(reduced, c[k+1:]...)
 			reductions[k] = reduced
-			vars := make([]int, 0, len(reduced)+2)
-			vars = append(vars, reduced...)
-			vars = append(vars, x, y)
-			varsets[k] = vars
+			varsets[k] = ciVars(reduced, x, y)
 		}
-		marginals, err := e.src.marginals(varsets)
+		marginals, err := e.src.project(cur, varsets)
 		if err != nil {
 			return nil, false, err
 		}
 		e.tests += len(c)
-		ri := e.pt.Codec().Cardinality(x)
-		rj := e.pt.Codec().Cardinality(y)
 		bestIdx, bestV := -1, v
 		for k := range c {
-			vk := stats.CondMutualInfoCounts(marginals[k].Counts, e.condCells(reductions[k]), ri, rj)
+			vk := e.cmi(marginals[k], reductions[k], x, y)
 			if !e.dependent(vk, x, y, e.condCells(reductions[k])) {
 				return reductions[k], true, nil
 			}
@@ -586,10 +686,19 @@ func (e *ciEval) separates(cand []int, x, y int) ([]int, bool, error) {
 		if bestIdx < 0 {
 			return nil, false, nil // every reduction increases dependence
 		}
-		c = append(c[:bestIdx], c[bestIdx+1:]...)
+		c = reductions[bestIdx]
+		cur = marginals[bestIdx]
 		v = bestV
 	}
 	return nil, false, nil
+}
+
+// ciVars is the varset of a CI test of x and y given z, in the
+// (conditioning..., x, y) layout stats.CondMutualInfoCounts expects.
+func ciVars(z []int, x, y int) []int {
+	vars := make([]int, 0, len(z)+2)
+	vars = append(vars, z...)
+	return append(vars, x, y)
 }
 
 // condCells returns the joint state count of a conditioning set, the rz
@@ -627,22 +736,11 @@ func dependentStat(pt *core.PotentialTable, cfg Config, statBits float64, x, y, 
 	}
 }
 
-// cmi computes I(x;y|Z) from the potential table by marginalizing over
-// Z ∪ {x, y} (ordering Z first so the flattened layout matches
-// stats.CondMutualInfoCounts).
-func (e *ciEval) cmi(x, y int, z []int) (float64, error) {
-	e.tests++
-	vars := make([]int, 0, len(z)+2)
-	vars = append(vars, z...)
-	vars = append(vars, x, y)
-	ms, err := e.src.marginals([][]int{vars})
-	if err != nil {
-		return 0, err
-	}
-	rz := e.condCells(z)
+// cmi computes I(x;y|Z) from mg, the marginal over ciVars(z, x, y).
+func (e *ciEval) cmi(mg *core.Marginal, z []int, x, y int) float64 {
 	ri := e.pt.Codec().Cardinality(x)
 	rj := e.pt.Codec().Cardinality(y)
-	return stats.CondMutualInfoCounts(ms[0].Counts, rz, ri, rj), nil
+	return stats.CondMutualInfoCounts(mg.Counts, e.condCells(z), ri, rj)
 }
 
 // SkeletonMetrics compares a learned skeleton against the skeleton of a

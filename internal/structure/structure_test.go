@@ -221,6 +221,10 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Epsilon != 0.01 || c.MaxCondSet != 6 {
 		t.Errorf("defaults: %+v", c)
 	}
+	// The documented default schedule is the zero value, not a resolved one.
+	if c.Schedule != core.MIFused {
+		t.Errorf("default schedule = %v, want %v", c.Schedule, core.MIFused)
+	}
 	c2 := Config{Epsilon: 0.05, MaxCondSet: 3}.withDefaults()
 	if c2.Epsilon != 0.05 || c2.MaxCondSet != 3 {
 		t.Errorf("explicit values overridden: %+v", c2)

@@ -12,7 +12,9 @@
 //     searches emit and, whenever every live search is blocked on one,
 //     fuses the whole batch into shared table scans through
 //     core.MarginalizeManyCachedCtx — so the potential table is read once
-//     per rendezvous round for the entire wave, not once per pair.
+//     per rendezvous round for the entire wave, not once per pair. A
+//     search reads the table once per candidate set (its greedy rounds
+//     project locally), so a wave has at most two rendezvous rounds.
 //  2. Commit: walk the wave in the serial order. An item whose candidate
 //     sets are unchanged by the commits before it (checked by a graph-epoch
 //     fast path, else by recomputing the sets) gets the serial decision —
@@ -69,9 +71,11 @@ type waveEvent struct {
 	req *margRequest
 }
 
-// waveMargSource routes a ciEval's marginal demand through the wave
-// coordinator instead of scanning the table itself.
+// waveMargSource routes a ciEval's table reads through the wave
+// coordinator instead of scanning the table itself; projections of a
+// marginal the search already holds stay local to the search.
 type waveMargSource struct {
+	projector
 	events chan<- waveEvent
 }
 
@@ -115,8 +119,9 @@ func (l *learner) runWave(items []*waveItem) error {
 
 	// Rendezvous loop: batch whenever every live search is waiting on a
 	// request. Completions shrink the quorum, so a wave whose searches
-	// finish at different greedy depths still fuses maximally — the scans
-	// per wave equal the deepest search's rendezvous count, not the sum.
+	// need different numbers of candidate sets still fuses maximally — the
+	// scans per wave equal the largest per-search request count, not the
+	// sum.
 	live := len(active)
 	var pending []*margRequest
 	for live > 0 {
