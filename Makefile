@@ -3,7 +3,7 @@ GO ?= go
 # Extra seeds for the chaos sweep, e.g. `make chaos CHAOS_SEEDS=11,12,13`.
 CHAOS_SEEDS ?=
 
-.PHONY: all build vet test race check chaos chaos-serve serve-smoke alloc-check compare-smoke bench-obs bench-phases bench-scan bench-build bench-serve bench-recover bench-skew bench-refreeze bench-artifacts bench-compare clean
+.PHONY: all build vet test race stress check chaos chaos-serve serve-smoke alloc-check compare-smoke bench-obs bench-phases bench-scan bench-build bench-serve bench-recover bench-skew bench-refreeze bench-artifacts bench-compare clean
 
 all: check
 
@@ -27,25 +27,35 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run 'Wavefront|FlattenedLayout|ProjectedCISearch' ./internal/structure/
 	$(GO) test -race ./internal/spsc/...
 
-# chaos runs the fault-tolerance suite under the race detector: the
-# deterministic fault-injection engine, the chaos tests that inject panics,
-# stalls, queue failures and table-grow pressure into real builds, and the
-# cancellation/abort/leak tests for the scheduler and queues. CHAOS_SEEDS
-# extends the seed sweep (comma-separated uint64s).
-chaos:
-	$(GO) test -race ./internal/faultinject/
-	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run 'Chaos|Cancel|Abort|RunCtx|Spillover|Leak' ./internal/core/ ./internal/sched/ ./internal/spsc/
+# stress repeats the concurrency-sensitive suites STRESS_COUNT times (the
+# wait-free core, its SPSC queues, the serving layer and the WAL), so a
+# test that passes only under lucky scheduling shows up as a failure here
+# instead of as an occasional red run:
+#   make stress STRESS_COUNT=50
+STRESS_COUNT ?= 20
+stress:
+	$(GO) test -count $(STRESS_COUNT) ./internal/core/ ./internal/spsc/ ./internal/serve/ ./internal/wal/
 
-# chaos-serve runs the durability chaos suite under the race detector: the
-# WAL unit + fuzz corpus (torn tails, bit flips), the checkpoint store, and
-# the crash-restart sweep that kills the serving manager at every point
-# (acked-unbuilt, mid-build, mid-freeze, mid-incremental-refreeze,
-# post-publish, checkpoint failure) across both re-freeze modes and seeds,
-# proving the recovered table bit-identical to a batch build over every
-# acked row.
+# chaos runs the fault-tolerance suite under the race detector at
+# GOMAXPROCS 1, 2 and 4: the deterministic fault-injection engine, the
+# chaos tests that inject panics, stalls, queue failures and table-grow
+# pressure into real builds, and the cancellation/abort/leak tests for the
+# scheduler and queues. CHAOS_SEEDS extends the seed sweep
+# (comma-separated uint64s).
+chaos:
+	$(GO) test -race -cpu 1,2,4 ./internal/faultinject/
+	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -cpu 1,2,4 -run 'Chaos|Cancel|Abort|RunCtx|Spillover|Leak' ./internal/core/ ./internal/sched/ ./internal/spsc/
+
+# chaos-serve runs the durability chaos suite under the race detector at
+# GOMAXPROCS 1, 2 and 4: the WAL unit + fuzz corpus (torn tails, bit
+# flips), the checkpoint store, and the crash-restart sweep that kills the
+# serving manager at every point (acked-unbuilt, mid-build, mid-freeze,
+# mid-incremental-refreeze, post-publish, checkpoint failure) across both
+# re-freeze modes and seeds, proving the recovered table bit-identical to a
+# batch build over every acked row.
 chaos-serve:
-	$(GO) test -race ./internal/wal/
-	$(GO) test -race -run 'Chaos|Recover|Rollback|Durab|Ready|Freeze|WAL|Checkpoint|Drain' ./internal/serve/
+	$(GO) test -race -cpu 1,2,4 ./internal/wal/
+	$(GO) test -race -cpu 1,2,4 -run 'Chaos|Recover|Rollback|Durab|Ready|Freeze|WAL|Checkpoint|Drain' ./internal/serve/
 
 # serve-smoke runs the closed-loop serving benchmark at smoke scale:
 # queries hammer the daemon while the epoch manager republishes, and the

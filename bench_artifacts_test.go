@@ -53,3 +53,37 @@ func TestBenchArtifactsMatchCanonicalFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildArtifactStagesWithinWallTime checks that every row of the
+// committed build artifact reports the stage times of the repetition whose
+// wall time it reports: stage 1 and stage 2 are disjoint intervals of one
+// build, so their sum cannot exceed that build's seconds.
+func TestBuildArtifactStagesWithinWallTime(t *testing.T) {
+	blob, err := os.ReadFile("BENCH_build.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Rows []struct {
+			P          int     `json:"p"`
+			WriteBatch int     `json:"write_batch"`
+			Seconds    float64 `json:"seconds"`
+			Stats      struct {
+				Stage1 float64 `json:"stage1_seconds"`
+				Stage2 float64 `json:"stage2_seconds"`
+			} `json:"stats"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Rows) == 0 {
+		t.Fatal("BENCH_build.json has no rows")
+	}
+	for _, r := range doc.Rows {
+		if s := r.Stats.Stage1 + r.Stats.Stage2; s > r.Seconds {
+			t.Errorf("P=%d write-batch=%d: stage1 %.4fs + stage2 %.4fs = %.4fs exceeds the row's %.4fs (stats from another repetition? rerun `make bench-build`)",
+				r.P, r.WriteBatch, r.Stats.Stage1, r.Stats.Stage2, s, r.Seconds)
+		}
+	}
+}

@@ -355,15 +355,7 @@ func runInstrumentedBuild(ctx context.Context, coreFl *cliopt.Core, obsFl *cliop
 			opts.P = p
 			opts.WriteBatch = wb
 			opts.Obs = reg
-			var pt *core.PotentialTable
-			var st core.Stats
-			sec := bench.TimeBest(reps, func() {
-				var err error
-				pt, st, err = core.BuildCtx(ctx, data, opts)
-				if err != nil {
-					fatal(err)
-				}
-			})
+			pt, st, sec := timeBuild(ctx, data, opts, reps)
 			if ref == nil {
 				ref = pt
 				baseSec = sec
@@ -379,6 +371,25 @@ func runInstrumentedBuild(ctx context.Context, coreFl *cliopt.Core, obsFl *cliop
 		fatal(err)
 	}
 	stopObs()
+}
+
+// timeBuild builds the table reps times and returns the fastest
+// repetition's wall time together with that same repetition's stats, so a
+// row's stage times always belong to the run its seconds measure. The
+// table is the last repetition's; every repetition builds the same one.
+func timeBuild(ctx context.Context, data *dataset.Dataset, opts core.Options, reps int) (*core.PotentialTable, core.Stats, float64) {
+	var pt *core.PotentialTable
+	var runs []core.Stats
+	sec, best := bench.TimeBestRep(reps, func() {
+		var st core.Stats
+		var err error
+		pt, st, err = core.BuildCtx(ctx, data, opts)
+		if err != nil {
+			fatal(err)
+		}
+		runs = append(runs, st)
+	})
+	return pt, runs[best], sec
 }
 
 // runPhases benchmarks the three learner phases separately on a wide

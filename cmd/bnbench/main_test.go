@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"waitfreebn/internal/core"
+	"waitfreebn/internal/dataset"
 )
 
 func TestParseList(t *testing.T) {
@@ -37,5 +39,26 @@ func TestParseSchedule(t *testing.T) {
 	}
 	if _, err := parseSchedule("bogus"); err == nil {
 		t.Error("bogus schedule accepted")
+	}
+}
+
+// TestTimeBuildStagesWithinWallTime checks that the build sweep reports
+// each row's stage times from the repetition whose wall time it reports:
+// stage 1 and stage 2 are disjoint intervals of that one build, so their
+// sum can never exceed its seconds.
+func TestTimeBuildStagesWithinWallTime(t *testing.T) {
+	data := dataset.NewUniformCard(60_000, 12, 2)
+	data.UniformIndependent(5, 0)
+	for _, opts := range []core.Options{{P: 1, WriteBatch: 1}, {P: 2}, {P: 2, WriteBatch: 1}} {
+		for range 3 {
+			pt, st, sec := timeBuild(context.Background(), data, opts, 4)
+			if pt.NumSamples() != 60_000 {
+				t.Fatalf("table holds %d samples, want 60000", pt.NumSamples())
+			}
+			if s := (st.Stage1Time + st.Stage2Time).Seconds(); s > sec {
+				t.Fatalf("P=%d wb=%d: stage1 %v + stage2 %v = %.6fs exceeds the reported %.6fs",
+					opts.P, opts.WriteBatch, st.Stage1Time, st.Stage2Time, s, sec)
+			}
+		}
 	}
 }

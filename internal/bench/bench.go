@@ -161,19 +161,27 @@ func formatSeconds(sec float64) string {
 // TimeBest runs fn reps times and returns the fastest wall-clock duration
 // in seconds. Best-of suppresses scheduler noise; reps < 1 is treated as 1.
 func TimeBest(reps int, fn func()) float64 {
+	sec, _ := TimeBestRep(reps, fn)
+	return sec
+}
+
+// TimeBestRep is TimeBest that also reports which repetition (0-based) was
+// the fastest, so a caller can report that repetition's own side outputs
+// next to its time.
+func TimeBestRep(reps int, fn func()) (sec float64, best int) {
 	if reps < 1 {
 		reps = 1
 	}
-	best := time.Duration(1<<63 - 1)
+	fastest := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
 		runtime.GC() // don't bill the previous measurement's garbage to this one
 		start := time.Now()
 		fn()
-		if d := time.Since(start); d < best {
-			best = d
+		if d := time.Since(start); d < fastest {
+			fastest, best = d, r
 		}
 	}
-	return best.Seconds()
+	return fastest.Seconds(), best
 }
 
 // Timing is a variance-aware measurement: the raw per-iteration samples plus

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"waitfreebn/internal/baseline"
 	"waitfreebn/internal/core"
@@ -127,6 +128,22 @@ func TestTimeBestPositive(t *testing.T) {
 	TimeBest(0, func() { calls++ })
 	if calls != 1 {
 		t.Errorf("TimeBest(0) ran fn %d times", calls)
+	}
+}
+
+func TestTimeBestRepReportsFastest(t *testing.T) {
+	// Repetition 1 sleeps least, so it must be the one reported.
+	naps := []time.Duration{60 * time.Millisecond, time.Millisecond, 40 * time.Millisecond}
+	rep := 0
+	sec, best := TimeBestRep(len(naps), func() {
+		time.Sleep(naps[rep])
+		rep++
+	})
+	if best != 1 || rep != 3 {
+		t.Fatalf("best = %d after %d reps, want 1 after 3", best, rep)
+	}
+	if sec < naps[1].Seconds() {
+		t.Fatalf("sec = %v, shorter than the fastest repetition's nap", sec)
 	}
 }
 

@@ -142,16 +142,6 @@ func (ft *frozenTable) scan(ctx context.Context, p int, block func(w int, keys, 
 	})
 }
 
-// kvSlice co-sorts a partition's key and count columns by key.
-type kvSlice struct{ keys, counts []uint64 }
-
-func (s kvSlice) Len() int           { return len(s.keys) }
-func (s kvSlice) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s kvSlice) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.counts[i], s.counts[j] = s.counts[j], s.counts[i]
-}
-
 // FreezeStats summarizes one Freeze (or incremental re-freeze) operation.
 type FreezeStats struct {
 	Entries    int           // distinct keys captured in the snapshot
@@ -300,19 +290,52 @@ func freezeParts(ctx context.Context, parts []hashtable.Counter, p int, epoch ui
 }
 
 // drainSorted drains one quiescent partition into the keys/counts columns
-// (which must have length part.Len()) and co-sorts them by key — the cold
-// freeze path for one partition.
+// (which must have length part.Len()) sorted by key — the cold freeze path
+// for one partition. It is a radix partition fused into the drain: a first
+// Range pass fills the columns and finds the bits in which the keys vary,
+// the columns give the top digit's histogram, and a second Range pass
+// scatters every entry straight into its bucket of the same columns, so the
+// partition is sorted without any scratch proportional to it. Buckets are
+// then finished in cache (see sortKV).
 func drainSorted(part hashtable.Counter, keys, counts []uint64, pi int) error {
 	n := 0
+	or, and := uint64(0), ^uint64(0)
 	part.Range(func(key, count uint64) bool {
-		keys[n], counts[n] = key, count
+		if n < len(keys) {
+			keys[n], counts[n] = key, count
+		}
+		or |= key
+		and &= key
 		n++
 		return true
 	})
 	if n != len(keys) {
 		return fmt.Errorf("core: partition %d yielded %d entries, expected %d (table mutated during Freeze?)", pi, n, len(keys))
 	}
-	sort.Sort(kvSlice{keys: keys, counts: counts})
+	if n <= kvInsertionMax {
+		insertionKV(keys, counts)
+		return nil
+	}
+	shift, mask := kvDigit(n, or^and)
+	start, next := bucketStarts(keys, shift, mask, make([]int, 2*(mask+1)+1))
+	moved := false
+	n = 0
+	part.Range(func(key, count uint64) bool {
+		d := (key >> shift) & mask
+		i := next[d]
+		if i == start[d+1] {
+			moved = true
+			return false
+		}
+		next[d] = i + 1
+		keys[i], counts[i] = key, count
+		n++
+		return true
+	})
+	if moved || n != len(keys) {
+		return fmt.Errorf("core: partition %d changed between drain passes (table mutated during Freeze?)", pi)
+	}
+	finishBuckets(keys, counts, start)
 	return nil
 }
 
